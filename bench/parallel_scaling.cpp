@@ -3,14 +3,17 @@
 //
 // Runs the six-table DMV mix (the longest pipelines, S1/S2) through
 // ParallelPipelineExecutor at each requested dop, with adaptation on.
-// Reports per-dop throughput and the speedup over dop=1, and checks two
-// contracts along the way:
+// Reports per-dop throughput and the speedup over dop=1, and checks three
+// contracts along the way (any violation exits nonzero):
 //
 //   * every dop produces exactly the dop=1 row counts (the multiset
 //     contract of parallel execution);
 //   * dop=1 work units are bit-identical to the plain serial
 //     PipelineExecutor (the dop<=1 delegation contract), so this harness
-//     doubles as a determinism tripwire for the figure reproductions.
+//     doubles as a determinism tripwire for the figure reproductions;
+//   * parallel adaptation adapts: at dop 2 and dop 4 the fleet makes at
+//     least one order switch whenever the serial executor does, and does at
+//     most 1.5x the serial work units.
 //
 // Speedup is only meaningful on a machine with real cores: the report
 // includes hardware_concurrency so a dop=8 run on a 1-core container
@@ -75,6 +78,10 @@ Flags ParseFlags(int argc, char** argv) {
   return flags;
 }
 
+// Adaptation gate: the most work units a dop 2 or dop 4 fleet may do,
+// relative to the serial executor, on the same queries.
+constexpr double kMaxWorkVsSerial = 1.5;
+
 struct DopResult {
   double wall_s = 0;
   uint64_t work_units = 0;
@@ -118,6 +125,7 @@ int main(int argc, char** argv) {
   std::printf("Serial reference pass: %zu six-table queries...\n", queries.size());
   std::vector<uint64_t> serial_rows(queries.size());
   uint64_t serial_wu = 0;
+  uint64_t serial_switches = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
     PipelineExecutor exec(plans[i].get(), adaptive);
     auto stats = exec.Execute(nullptr);
@@ -128,6 +136,7 @@ int main(int argc, char** argv) {
     }
     serial_rows[i] = stats->rows_out;
     serial_wu += stats->work_units;
+    serial_switches += stats->driving_switches + stats->inner_reorders;
   }
 
   const size_t reps = std::max<size_t>(flags.common.reps, 1);
@@ -147,8 +156,8 @@ int main(int argc, char** argv) {
               "hardware_concurrency=%u)\n",
               queries.size(), reps, morsel_desc,
               std::thread::hardware_concurrency());
-  std::printf("  %-6s %10s %10s %9s %12s %9s\n", "dop", "wall_s", "qps",
-              "speedup", "work_units", "switches");
+  std::printf("  %-6s %10s %10s %9s %12s %14s %9s\n", "dop", "wall_s",
+              "qps", "speedup", "work_units", "work_vs_serial", "switches");
 
   double dop1_wall = 0;
   bool dop1_wu_identical = true;
@@ -163,11 +172,6 @@ int main(int argc, char** argv) {
         ParallelExecOptions popts;
         popts.dop = dop;
         popts.morsel_size = flags.morsel_size;
-        // Fold after every morsel: a DMV driving scan is only a handful
-        // of morsels long, so the default cadence (check_frequency
-        // morsels) would starve the coordinator of statistics and the
-        // parallel runs would never adapt at all.
-        popts.fold_interval = 1;
         ParallelPipelineExecutor exec(plans[i].get(), adaptive, popts);
         auto stats = exec.Execute(nullptr);
         if (!stats.ok()) {
@@ -210,21 +214,39 @@ int main(int argc, char** argv) {
 
     const double qps = static_cast<double>(queries.size()) / best.wall_s;
     const double speedup = dop1_wall > 0 ? dop1_wall / best.wall_s : 1.0;
-    std::printf("  %-6zu %10.3f %10.1f %8.2fx %12llu %9llu%s\n", dop,
+    const double work_vs_serial =
+        serial_wu > 0 ? static_cast<double>(best.work_units) /
+                            static_cast<double>(serial_wu)
+                      : 0.0;
+    std::printf("  %-6zu %10.3f %10.1f %8.2fx %12llu %13.2fx %9llu%s\n", dop,
                 best.wall_s, qps, speedup,
                 static_cast<unsigned long long>(best.work_units),
+                work_vs_serial,
                 static_cast<unsigned long long>(best.switches),
                 best.mismatches > 0 ? "  MISMATCH" : "");
+    if (dop == 2 || dop == 4) {
+      if (serial_switches > 0 && best.switches == 0) {
+        std::fprintf(stderr,
+                     "ADAPTATION GATE: dop=%zu made 0 order switches "
+                     "(serial: %llu)\n",
+                     dop, static_cast<unsigned long long>(serial_switches));
+        exit_code = 1;
+      }
+      if (work_vs_serial > kMaxWorkVsSerial) {
+        std::fprintf(stderr,
+                     "ADAPTATION GATE: dop=%zu did %.2fx the serial work "
+                     "units (bound %.2fx)\n",
+                     dop, work_vs_serial, kMaxWorkVsSerial);
+        exit_code = 1;
+      }
+    }
 
     const std::string suffix = "_dop" + std::to_string(dop);
     report.AddMetric("wall_s" + suffix, best.wall_s);
     report.AddMetric("qps" + suffix, qps);
     report.AddMetric("speedup" + suffix, speedup);
     report.AddMetric("work_units" + suffix, static_cast<double>(best.work_units));
-    report.AddMetric("work_units" + suffix + "_vs_serial",
-                     serial_wu > 0 ? static_cast<double>(best.work_units) /
-                                         static_cast<double>(serial_wu)
-                                   : 0.0);
+    report.AddMetric("work_units" + suffix + "_vs_serial", work_vs_serial);
     report.AddMetric("order_switches" + suffix, static_cast<double>(best.switches));
     report.AddMetric("morsels" + suffix, static_cast<double>(best.morsels));
     report.AddMetric("row_mismatches" + suffix, static_cast<double>(best.mismatches));

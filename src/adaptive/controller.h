@@ -92,6 +92,12 @@ struct AdaptiveOptions {
   static constexpr uint64_t kMaxBackoff = 16;
 };
 
+/// Sample floor for monitored selectivities in inner-reorder decisions:
+/// inner reorders are cheap and reversible, so young monitors may act
+/// (driving switches use AdaptiveOptions::min_leg_samples). Shared by the
+/// serial executor and the parallel coordinator.
+inline constexpr uint64_t kInnerMinSamples = 2;
+
 /// Exponential back-off schedule for one reorder-check interval (the
 /// AdaptiveOptions::check_backoff policy, factored out so the executor's
 /// driving and per-leg inner intervals share one tested implementation).

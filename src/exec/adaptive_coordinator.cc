@@ -9,26 +9,14 @@
 
 namespace ajr {
 
-namespace {
-
-// Sample floor for monitored selectivities in inner-reorder decisions —
-// mirrors the serial executor's kInnerMinSamples: inner reorders are cheap
-// and reversible, so young merged monitors may act.
-constexpr uint64_t kInnerMinSamples = 2;
-
-}  // namespace
-
 AdaptiveCoordinator::AdaptiveCoordinator(const PipelinePlan* plan,
                                          const AdaptiveOptions& options,
-                                         DrivingSource* source,
-                                         size_t fold_interval)
+                                         DrivingSource* source)
     : plan_(plan),
       options_(options),
       source_(source),
-      fold_interval_(fold_interval > 0 ? fold_interval
-                                       : std::max<size_t>(1, options.check_frequency)),
       policy_(MakePolicy(options)),
-      backoff_(1, options.check_backoff) {
+      backoff_(options.check_frequency, options.check_backoff) {
   const size_t n = plan_->query.tables.size();
   order_ = plan_->initial_order;
   demotions_.assign(n, ParallelDemotion());
@@ -43,6 +31,7 @@ AdaptiveCoordinator::AdaptiveCoordinator(const PipelinePlan* plan,
                                    static_cast<double>(idx->tree->height()));
     }
   }
+  PublishFoldRowsLocked();  // no worker can observe the coordinator yet
 }
 
 AdaptiveCoordinator::~AdaptiveCoordinator() = default;
@@ -56,6 +45,7 @@ bool AdaptiveCoordinator::RegisterWorker(ParallelWorkerSync* sync) {
   std::lock_guard<std::mutex> lock(mu_);
   if (state_ == State::kDone || state_ == State::kAbort) return false;
   ++registered_;
+  PublishFoldRowsLocked();
   sync->epoch = epoch_.load(std::memory_order_relaxed);
   sync->order = order_;
   sync->demotions = demotions_;
@@ -125,16 +115,28 @@ void AdaptiveCoordinator::Fold(const WorkerMonitorDeltas& deltas) {
   for (size_t e = 0; e < edges_.size(); ++e) edges_[e].Absorb(deltas.edges[e]);
   merged_rows_out_ += deltas.rows_out;
   merged_work_units_ += deltas.work_units;
-  ++folds_;
+  rows_since_check_ += deltas.driving_rows;
   // Decisions fire only while dispensing: once draining, the pending switch
   // must install before new evidence can overturn it, and at end-of-scan
   // the remaining work is zero — nothing to reoptimize.
-  if (state_ != State::kRunning) return;
-  if (order_.size() <= 1) return;
-  if (!policy_->adapts_inners() && !policy_->adapts_driving()) return;
-  if (++folds_since_check_ < backoff_.interval()) return;
-  folds_since_check_ = 0;
+  if (state_ != State::kRunning || !DecidesLocked()) return;
+  if (rows_since_check_ < backoff_.interval()) return;
+  rows_since_check_ = 0;
   RunChecksLocked();
+  PublishFoldRowsLocked();
+}
+
+bool AdaptiveCoordinator::DecidesLocked() const {
+  return order_.size() > 1 &&
+         (policy_->adapts_inners() || policy_->adapts_driving());
+}
+
+void AdaptiveCoordinator::PublishFoldRowsLocked() {
+  const uint64_t workers = std::max<uint64_t>(1, registered_);
+  const uint64_t rows =
+      DecidesLocked() ? std::max<uint64_t>(1, backoff_.interval() / workers)
+                      : UINT64_MAX;
+  fold_rows_.store(rows);
 }
 
 CostInputs AdaptiveCoordinator::BuildCostInputsLocked(

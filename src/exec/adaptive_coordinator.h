@@ -4,11 +4,18 @@
 // In parallel mode the driving leg's scan is split into fixed-size morsels
 // handed out from a shared dispenser (the DrivingSource), and `dop` worker-
 // local pipeline clones run concurrently. Each worker keeps its own inner
-// cursors, probe caches, and sliding-window monitors; every check-frequency
-// morsels it folds its monitor *deltas* into the coordinator, which merges
+// cursors, probe caches, and sliding-window monitors, and folds its monitor
+// *deltas* into the coordinator between driving rows. The coordinator merges
 // them and runs the paper's decision procedures (CheckInnerReorder /
 // CheckDrivingSwitch) over the merged statistics — the same Eq 1/3/4
 // machinery the serial executor uses, fed with fleet-wide evidence.
+//
+// Cadence is counted in produced driving rows, exactly as in the serial
+// executor: a check fires once the fleet has produced the CheckBackoff
+// interval (c, doubled per unproductive check) of driving rows since the
+// previous check. To deliver that evidence in time, the coordinator
+// publishes a per-worker fold budget of interval / registered-workers rows,
+// so the fleet folds about once per check whatever the morsel size.
 //
 // Decisions are published as epoch-tagged snapshots. Workers poll the epoch
 // (one atomic load) between driving rows — full-pipeline depleted states,
@@ -29,7 +36,7 @@
 // it is lost (Sec 4.2's duplicate prevention, lifted to the fleet).
 //
 // Thread safety: everything behind one mutex except the published epoch
-// (atomic, read lock-free on the worker hot path). The DrivingSource is
+// and fold budget (atomics, read lock-free on the worker hot path). The DrivingSource is
 // only ever called under the coordinator mutex, so it needs no locking of
 // its own.
 
@@ -149,22 +156,26 @@ struct WorkerMonitorDeltas {
   /// accumulates them into the PolicySnapshot it feeds its policy).
   uint64_t rows_out = 0;
   uint64_t work_units = 0;
+  /// Driving rows this worker produced since its previous fold: the unit
+  /// the coordinator's check cadence counts.
+  uint64_t driving_rows = 0;
 };
 
 class AdaptiveCoordinator {
  public:
-  /// `plan` and `source` must outlive the coordinator. `fold_interval` is
-  /// the number of morsels a worker processes between folds (0 = the
-  /// options' check frequency c).
+  /// `plan` and `source` must outlive the coordinator.
   AdaptiveCoordinator(const PipelinePlan* plan, const AdaptiveOptions& options,
-                      DrivingSource* source, size_t fold_interval = 0);
+                      DrivingSource* source);
   ~AdaptiveCoordinator();
 
   /// Promotes the plan's initial driving leg. Call once before workers run.
   Status Init();
 
-  /// Morsels between worker folds.
-  size_t fold_interval() const { return fold_interval_; }
+  /// Driving rows a worker produces between folds: the current check
+  /// interval split over the registered workers (at least 1), or "never"
+  /// (fold only at the end) when this run makes no decisions. Workers read
+  /// it between driving rows. Lock-free.
+  uint64_t fold_rows() const { return fold_rows_.load(); }
 
   /// Registers a worker into the barrier group and snapshots the current
   /// decision state. False when execution already finished or aborted (the
@@ -229,11 +240,15 @@ class AdaptiveCoordinator {
   void InstallSwitchLocked();
   void AbortLocked(Status status);
   uint64_t MergedDrivingRowsLocked() const;
+  /// True when this run can make a decision at all.
+  bool DecidesLocked() const;
+  /// Republishes fold_rows_ after the check interval or the worker count
+  /// changed.
+  void PublishFoldRowsLocked();
 
   const PipelinePlan* plan_;
   AdaptiveOptions options_;
   DrivingSource* source_;
-  size_t fold_interval_;
   /// The fleet-wide decision policy (adaptive/policy.h): one instance for
   /// the whole run, consulted only inside RunChecksLocked (under mu_), so
   /// it needs no locking of its own. Workers never see it.
@@ -246,6 +261,7 @@ class AdaptiveCoordinator {
   size_t waiting_ = 0;
   uint64_t generation_ = 0;  ///< barrier generation
   std::atomic<uint64_t> epoch_{0};
+  std::atomic<uint64_t> fold_rows_{1};
 
   std::vector<size_t> order_;
   std::vector<ParallelDemotion> demotions_;
@@ -257,9 +273,10 @@ class AdaptiveCoordinator {
   std::vector<EdgeMonitor> edges_;
   std::vector<double> index_heights_;
 
+  /// Check interval in merged driving rows (the serial DrivingCheck's
+  /// schedule).
   CheckBackoff backoff_;
-  uint64_t folds_ = 0;
-  uint64_t folds_since_check_ = 0;
+  uint64_t rows_since_check_ = 0;
   /// Fleet-wide output rows / work units accumulated from worker folds —
   /// the reward signal handed to exploration policies in PolicySnapshot.
   uint64_t merged_rows_out_ = 0;

@@ -16,10 +16,6 @@ namespace ajr {
 
 namespace {
 
-// Sample floor for monitored selectivities in inner-reorder decisions (see
-// BuildRuntimeCostInputs doc comment).
-constexpr uint64_t kInnerMinSamples = 2;
-
 // Three-way compare of two probe keys of one index's key type, in index
 // order (numeric order-encodings compare as integers, strings as bytes).
 int CompareKeys(const IndexKey& a, const IndexKey& b) {

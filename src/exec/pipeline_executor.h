@@ -40,6 +40,7 @@ class AdaptiveCoordinator;
 class ExecObserver;
 struct FaultInjection;
 struct ParallelWorkerSync;
+struct WorkerMonitorDeltas;
 
 /// Counters reported by one execution.
 struct ExecStats {
@@ -301,8 +302,10 @@ class PipelineExecutor {
   /// reports the change through the observer once this worker has produced
   /// rows (so invariant I4's depleted-state precondition holds).
   void AdoptParallelSync(const ParallelWorkerSync& sync);
-  /// Worker mode: folds this worker's monitor deltas into the coordinator.
-  void FoldMonitors(AdaptiveCoordinator* coordinator);
+  /// Worker mode: folds this worker's monitor deltas into the coordinator,
+  /// reusing `deltas` as the (allocation-free after the first fold) buffer.
+  void FoldMonitors(AdaptiveCoordinator* coordinator,
+                    WorkerMonitorDeltas* deltas);
 
   const PipelinePlan* plan_;
   AdaptiveOptions options_;
@@ -335,10 +338,12 @@ class PipelineExecutor {
   bool executed_ = false;
   /// Worker mode: the coordinator epoch this worker last adopted.
   uint64_t parallel_epoch_ = 0;
-  /// Worker mode: rows/work already reported to the coordinator, so each
-  /// fold carries only the delta since the previous one.
+  /// Worker mode: output rows, work and driving rows already reported to
+  /// the coordinator, so each fold carries only the delta since the
+  /// previous one.
   uint64_t folded_rows_ = 0;
   uint64_t folded_work_ = 0;
+  uint64_t folded_driving_rows_ = 0;
   ExecStats stats_;
 };
 

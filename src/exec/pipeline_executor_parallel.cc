@@ -77,22 +77,28 @@ void PipelineExecutor::AdoptParallelSync(const ParallelWorkerSync& sync) {
   }
 }
 
-void PipelineExecutor::FoldMonitors(AdaptiveCoordinator* coordinator) {
-  WorkerMonitorDeltas deltas;
-  deltas.inner.reserve(legs_.size());
-  deltas.driving.reserve(legs_.size());
-  for (LegRt& leg : legs_) {
-    deltas.inner.push_back(leg.inner_monitor.TakeDelta());
-    deltas.driving.push_back(leg.driving_monitor.TakeDelta());
+void PipelineExecutor::FoldMonitors(AdaptiveCoordinator* coordinator,
+                                    WorkerMonitorDeltas* deltas) {
+  // Sized on the first fold, overwritten in place afterwards: folds come
+  // every few driving rows, so they must not allocate.
+  deltas->inner.resize(legs_.size());
+  deltas->driving.resize(legs_.size());
+  deltas->edges.resize(edge_monitors_.size());
+  for (size_t t = 0; t < legs_.size(); ++t) {
+    deltas->inner[t] = legs_[t].inner_monitor.TakeDelta();
+    deltas->driving[t] = legs_[t].driving_monitor.TakeDelta();
   }
-  deltas.edges.reserve(edge_monitors_.size());
-  for (EdgeMonitor& em : edge_monitors_) deltas.edges.push_back(em.TakeDelta());
+  for (size_t e = 0; e < edge_monitors_.size(); ++e) {
+    deltas->edges[e] = edge_monitors_[e].TakeDelta();
+  }
   const uint64_t work_now = wc_.total();
-  deltas.rows_out = stats_.rows_out - folded_rows_;
-  deltas.work_units = work_now - folded_work_;
+  deltas->rows_out = stats_.rows_out - folded_rows_;
+  deltas->work_units = work_now - folded_work_;
+  deltas->driving_rows = stats_.driving_rows_produced - folded_driving_rows_;
   folded_rows_ = stats_.rows_out;
   folded_work_ = work_now;
-  coordinator->Fold(deltas);
+  folded_driving_rows_ = stats_.driving_rows_produced;
+  coordinator->Fold(*deltas);
   ++stats_.monitor_folds;
 }
 
@@ -125,7 +131,7 @@ StatusOr<ExecStats> PipelineExecutor::ExecuteWorker(
   const auto start = std::chrono::steady_clock::now();
   const size_t k = order_.size();
   ParallelMorsel morsel;
-  size_t morsels_since_fold = 0;
+  WorkerMonitorDeltas deltas;
   bool finished = false;
   while (!finished) {
     switch (coordinator->AcquireMorsel(&morsel, worker_id)) {
@@ -140,8 +146,10 @@ StatusOr<ExecStats> PipelineExecutor::ExecuteWorker(
     ++stats_.morsels;
     for (size_t mi = 0; mi < morsel.rids.size(); ++mi) {
       // Between driving rows the whole worker pipeline is depleted: the
-      // full cancel + deadline poll and the decision-adoption point (the
-      // paper's moment of symmetry, per worker).
+      // full cancel + deadline poll, the fold point (every fold_rows()
+      // produced driving rows, so checks keep the serial row cadence), and
+      // the decision-adoption point (the paper's moment of symmetry, per
+      // worker) — a decision this fold triggers is adopted right here.
       if (cancel_token_ != nullptr) {
         StopReason stop = cancel_token_->Check();
         if (stop != StopReason::kNone) {
@@ -149,6 +157,10 @@ StatusOr<ExecStats> PipelineExecutor::ExecuteWorker(
           coordinator->Abort(st);
           return st;
         }
+      }
+      if (stats_.driving_rows_produced - folded_driving_rows_ >=
+          coordinator->fold_rows()) {
+        FoldMonitors(coordinator, &deltas);
       }
       if (coordinator->published_epoch() != parallel_epoch_) {
         coordinator->GetSync(&sync);
@@ -209,14 +221,10 @@ StatusOr<ExecStats> PipelineExecutor::ExecuteWorker(
         }
       }
     }
-    if (++morsels_since_fold >= coordinator->fold_interval()) {
-      morsels_since_fold = 0;
-      FoldMonitors(coordinator);
-    }
   }
   // Final fold: keeps the coordinator's merged row totals (event log
   // bookkeeping) complete. Ignored if the run already finished.
-  FoldMonitors(coordinator);
+  FoldMonitors(coordinator, &deltas);
   stats_.final_order = order_;
   stats_.work_units = wc_.total();
   stats_.wall_seconds =

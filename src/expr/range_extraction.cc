@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "common/string_util.h"
 
@@ -145,6 +146,63 @@ std::optional<std::vector<KeyRange>> AbsorbConjunct(const ExprPtr& conjunct,
   return std::nullopt;
 }
 
+// Outcome of coercing one bound to an INT64 key.
+enum class Coerced { kBound, kUnbounded, kEmpty };
+
+// Coerces a DOUBLE bound `bound` (lower when `lower`) to an INT64 key in
+// place. Keys admitted are those k with (double)k on the bound's side, so a
+// lower bound rounds up and an upper bound rounds down; a rounded bound is
+// inclusive. NaN compares equal to every key (Value::Compare and the
+// evaluator's three-way compare), so an inclusive NaN bound admits all
+// keys and an exclusive one none.
+Coerced CoerceBoundToInt64(std::optional<Value>* bound, bool* inclusive,
+                           bool lower) {
+  const double d = (*bound)->AsDouble();
+  if (std::isnan(d)) return *inclusive ? Coerced::kUnbounded : Coerced::kEmpty;
+  constexpr double kTwo63 = 9223372036854775808.0;  // 2^63
+  // Beyond the INT64 range the bound either admits every key or none.
+  if (d >= kTwo63) return lower ? Coerced::kEmpty : Coerced::kUnbounded;
+  if (d < -kTwo63) return lower ? Coerced::kUnbounded : Coerced::kEmpty;
+  const double rounded = lower ? std::ceil(d) : std::floor(d);
+  if (rounded != d) *inclusive = true;
+  *bound = Value(static_cast<int64_t>(rounded));
+  return Coerced::kBound;
+}
+
+// See ExtractRanges: rewrites numeric bounds in `key_type` and drops ranges
+// that admit no key.
+std::vector<KeyRange> CoerceToKeyType(std::vector<KeyRange> ranges,
+                                      DataType key_type) {
+  std::vector<KeyRange> out;
+  out.reserve(ranges.size());
+  for (KeyRange& r : ranges) {
+    bool empty = false;
+    for (bool lower : {true, false}) {
+      std::optional<Value>& bound = lower ? r.lo : r.hi;
+      bool& inclusive = lower ? r.lo_inclusive : r.hi_inclusive;
+      if (!bound.has_value()) continue;
+      const DataType bt = bound->type();
+      if (key_type == DataType::kInt64 && bt == DataType::kDouble) {
+        switch (CoerceBoundToInt64(&bound, &inclusive, lower)) {
+          case Coerced::kBound:
+            break;
+          case Coerced::kUnbounded:
+            bound.reset();
+            inclusive = true;
+            break;
+          case Coerced::kEmpty:
+            empty = true;
+            break;
+        }
+      } else if (key_type == DataType::kDouble && bt == DataType::kInt64) {
+        bound = Value(static_cast<double>(bound->AsInt64()));
+      }
+    }
+    if (!empty && !r.Empty()) out.push_back(std::move(r));
+  }
+  return out;
+}
+
 }  // namespace
 
 bool KeyRange::Contains(const Value& v) const {
@@ -210,7 +268,8 @@ std::vector<KeyRange> IntersectRanges(const std::vector<KeyRange>& a,
   return NormalizeRanges(std::move(out));
 }
 
-RangeExtraction ExtractRanges(const ExprPtr& expr, const std::string& column) {
+RangeExtraction ExtractRanges(const ExprPtr& expr, const std::string& column,
+                              std::optional<DataType> key_type) {
   RangeExtraction result;
   result.ranges = {KeyRange::All()};
   std::vector<ExprPtr> residual_conjuncts;
@@ -222,6 +281,9 @@ RangeExtraction ExtractRanges(const ExprPtr& expr, const std::string& column) {
     } else {
       residual_conjuncts.push_back(conjunct);
     }
+  }
+  if (key_type.has_value()) {
+    result.ranges = CoerceToKeyType(std::move(result.ranges), *key_type);
   }
   result.residual = And(std::move(residual_conjuncts));
   return result;

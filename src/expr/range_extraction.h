@@ -12,6 +12,12 @@
 //   make IN ('A','B','C')                      -> three point ranges
 //
 // Conjuncts that are not sargable on the target column become residual.
+// Given the index's key type, numeric bounds are coerced to it, because an
+// index compares keys in their own type's encoding:
+//
+//   year >= 1999.5 on an INT64 key             -> year >= 2000
+//   year <= 1999.5 on an INT64 key             -> year <= 1999
+//   year = 1999.5 on an INT64 key              -> no range (matches nothing)
 
 #pragma once
 
@@ -65,7 +71,16 @@ struct RangeExtraction {
 
 /// Extracts index scan ranges for `column` from predicate `expr` (may be
 /// null = always true). See file comment for supported shapes.
-RangeExtraction ExtractRanges(const ExprPtr& expr, const std::string& column);
+///
+/// With `key_type` (the index's), numeric bounds are rewritten in that
+/// type so they admit the keys the evaluator's numeric comparison admits
+/// (exactly, for keys within +-2^53): a DOUBLE bound on an INT64 key rounds
+/// inward to the nearest admitted integer (a lower bound up, an upper bound
+/// down; a fractional bound becomes inclusive), and an INT64 bound on a
+/// DOUBLE key becomes the equal DOUBLE. Ranges that admit no key are
+/// dropped.
+RangeExtraction ExtractRanges(const ExprPtr& expr, const std::string& column,
+                              std::optional<DataType> key_type = std::nullopt);
 
 /// Intersects two range lists (both sorted & disjoint); result sorted & disjoint.
 std::vector<KeyRange> IntersectRanges(const std::vector<KeyRange>& a,

@@ -38,7 +38,8 @@ DrivingAccess ChooseDrivingAccess(const TableEntry& entry, const ExprPtr& local_
   best.est_slpi = 1.0;
   double best_entries = static_cast<double>(entry.StatsCardinality());
   for (const auto& idx : entry.indexes()) {
-    RangeExtraction ex = ExtractRanges(local_pred, idx->column);
+    RangeExtraction ex =
+        ExtractRanges(local_pred, idx->column, idx->tree->key_type());
     if (!ex.sargable) continue;
     double slpi = estimator.EstimateRanges(entry, idx->column, ex.ranges);
     double entries = slpi * static_cast<double>(entry.StatsCardinality());

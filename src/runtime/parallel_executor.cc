@@ -9,6 +9,7 @@
 #include "exec/adaptive_coordinator.h"
 #include "runtime/morsel.h"
 #include "runtime/worker_lease.h"
+#include "storage/cursors.h"
 
 namespace ajr {
 
@@ -44,16 +45,24 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
   const bool record_positions =
       std::any_of(observers_.begin(), observers_.end(),
                   [](ExecObserver* o) { return o != nullptr; });
-  // Auto-sized morsels target ~16 morsels per worker over the initial
-  // driving table, clamped to [64, 1024]: a fixed size that suits a
-  // 100k-entry scan would hand a 10k-entry scan to the fleet as a handful
-  // of morsels, starving the coordinator of fold points (and therefore of
-  // reorder decisions) before the scan is already over.
+  // Auto-sized morsels target ~64 morsels per worker over the initial
+  // driving scan's entries (the index range, not the whole table), clamped
+  // to [16, 256]. The coordinator checks every c produced driving rows
+  // (about c / dop per worker), so morsel size no longer gates how often it
+  // decides, but it bounds for how long: once every entry is dispensed no
+  // switch can help, and a switch decided mid-morsel drains one morsel per
+  // worker of old-leg entries. A selective range of a few hundred entries
+  // must therefore still split into many small morsels.
   size_t morsel_size = parallel_.morsel_size;
   if (morsel_size == 0) {
     const size_t driving = plan_->initial_order[0];
-    const size_t total = plan_->entries[driving]->table().num_rows();
-    morsel_size = std::clamp<size_t>(total / (dop * 16), 64, 1024);
+    const DrivingAccess& access = plan_->access[driving].driving;
+    const size_t total =
+        access.index != nullptr
+            ? CountRangeEntriesAfter(*access.index->tree, access.ranges,
+                                     std::nullopt)
+            : plan_->entries[driving]->table().num_rows();
+    morsel_size = std::clamp<size_t>(total / (dop * 64), 16, 256);
   }
   // Read-ahead (and with it morsel affinity) only pays off with several
   // workers; depth 1 keeps single-worker dispensing bit-identical to the
@@ -61,8 +70,7 @@ StatusOr<ExecStats> ParallelPipelineExecutor::Execute(const RowSink& sink) {
   const size_t produce_ahead = dop > 1 ? std::min<size_t>(4, dop) : 1;
   MorselDriver driver(plan_, morsel_size, record_positions,
                       parallel_.scan_registry, produce_ahead);
-  AdaptiveCoordinator coordinator(plan_, options_, &driver,
-                                  parallel_.fold_interval);
+  AdaptiveCoordinator coordinator(plan_, options_, &driver);
   AJR_RETURN_IF_ERROR(coordinator.Init());
 
   std::vector<std::unique_ptr<PipelineExecutor>> workers;

@@ -39,14 +39,14 @@ struct ParallelExecOptions {
   /// Degree of parallelism: worker pipelines running concurrently. <= 1
   /// means serial execution (the untouched PipelineExecutor path).
   size_t dop = 1;
-  /// Driving-scan entries per morsel. Small morsels adapt and balance
-  /// better; large morsels amortize dispenser synchronization. 0 (the
-  /// default) auto-sizes from the driving table's cardinality: ~16
-  /// morsels per worker, clamped to [64, 1024].
+  /// Driving-scan entries per morsel. Small morsels balance better and
+  /// drain faster at a driving switch; large morsels amortize dispenser
+  /// synchronization. Decision cadence does not depend on it: workers fold
+  /// and the coordinator checks on produced driving rows (the adaptive
+  /// options' check frequency c). 0 (the default) auto-sizes from the
+  /// initial driving scan's entry count: ~64 morsels per worker, clamped
+  /// to [16, 256].
   size_t morsel_size = 0;
-  /// Morsels a worker processes between monitor folds into the
-  /// coordinator (0 = the adaptive options' check frequency c).
-  size_t fold_interval = 0;
   /// Thread source for workers beyond worker 0 (null = spawn threads).
   ThreadPool* pool = nullptr;
   /// Run the morsel-parallel orchestration even at dop <= 1 instead of

@@ -102,6 +102,32 @@ TEST_F(PipelineExecutorTest, AdaptiveMatchesReferenceOnExamples) {
   }
 }
 
+// A DOUBLE literal compared with the indexed INT64 column car.year: the
+// driving index scan covers the bound coerced to the key type (>= 1999.5
+// scans >= 2000) and every comparison returns exactly the reference rows,
+// for fractional, integral and out-of-range literals alike.
+TEST_F(PipelineExecutorTest, MixedTypeRangeBoundsMatchReference) {
+  const Value kLiterals[] = {Value(1999.5), Value(2000.0), Value(int64_t{2000}),
+                             Value(-0.5), Value(1e19)};
+  const CompareOp kOps[] = {CompareOp::kLt, CompareOp::kLe, CompareOp::kGt,
+                            CompareOp::kGe, CompareOp::kEq};
+  size_t index_scans = 0;
+  for (const Value& literal : kLiterals) {
+    for (CompareOp op : kOps) {
+      JoinQuery q = DmvQueryGenerator::Example2();
+      q.local_predicates[0] = nullptr;
+      q.local_predicates[1] = ColCmp("year", op, literal);
+      auto plan = planner_->Plan(q);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      if ((*plan)->access[1].driving.index != nullptr) ++index_scans;
+      auto expected = RunReference(q);
+      EXPECT_EQ(RunPipeline(q, Static()), expected) << q.ToString();
+      EXPECT_EQ(RunPipeline(q, Aggressive()), expected) << q.ToString();
+    }
+  }
+  EXPECT_GE(index_scans, 10u) << "car.year ranges were rarely index-scanned";
+}
+
 // The headline no-duplicates / no-losses property: under the most
 // switch-happy configuration, every template instance must produce exactly
 // the reference multiset.

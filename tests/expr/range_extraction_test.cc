@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace ajr {
 namespace {
 
@@ -174,6 +176,93 @@ TEST(RangeExtractionTest, RangePlusEqualityIntersects) {
   ASSERT_EQ(ex.ranges.size(), 2u);
   EXPECT_TRUE(ex.ranges[0].Contains(Value(35)));
   EXPECT_TRUE(ex.ranges[1].Contains(Value(45)));
+}
+
+// A DOUBLE bound on an INT64 key rounds inward to the nearest admitted
+// integer and becomes inclusive; an integral DOUBLE keeps its inclusivity.
+TEST(RangeExtractionTest, DoubleBoundsCoerceToInt64Key) {
+  auto one = [](CompareOp op, double v) {
+    auto ex = ExtractRanges(ColCmp("year", op, Value(v)), "year",
+                            DataType::kInt64);
+    EXPECT_TRUE(ex.sargable);
+    for (const KeyRange& r : ex.ranges) {
+      if (r.lo.has_value()) EXPECT_EQ(r.lo->type(), DataType::kInt64);
+      if (r.hi.has_value()) EXPECT_EQ(r.hi->type(), DataType::kInt64);
+    }
+    return ex.ranges;
+  };
+  auto ge = one(CompareOp::kGe, 1999.5);
+  ASSERT_EQ(ge.size(), 1u);
+  EXPECT_EQ(ge[0].lo->AsInt64(), 2000);
+  EXPECT_TRUE(ge[0].lo_inclusive);
+  EXPECT_FALSE(ge[0].hi.has_value());
+
+  auto gt = one(CompareOp::kGt, 1999.5);
+  ASSERT_EQ(gt.size(), 1u);
+  EXPECT_EQ(gt[0].lo->AsInt64(), 2000);
+  EXPECT_TRUE(gt[0].lo_inclusive);
+
+  auto le = one(CompareOp::kLe, 1999.5);
+  ASSERT_EQ(le.size(), 1u);
+  EXPECT_EQ(le[0].hi->AsInt64(), 1999);
+  EXPECT_TRUE(le[0].hi_inclusive);
+
+  auto lt = one(CompareOp::kLt, -1999.5);
+  ASSERT_EQ(lt.size(), 1u);
+  EXPECT_EQ(lt[0].hi->AsInt64(), -2000);
+  EXPECT_TRUE(lt[0].hi_inclusive);
+
+  auto lt_integral = one(CompareOp::kLt, 2000.0);
+  ASSERT_EQ(lt_integral.size(), 1u);
+  EXPECT_EQ(lt_integral[0].hi->AsInt64(), 2000);
+  EXPECT_FALSE(lt_integral[0].hi_inclusive);
+
+  EXPECT_TRUE(one(CompareOp::kEq, 1999.5).empty());
+  auto eq = one(CompareOp::kEq, 2000.0);
+  ASSERT_EQ(eq.size(), 1u);
+  EXPECT_EQ(eq[0].lo->AsInt64(), 2000);
+  EXPECT_EQ(eq[0].hi->AsInt64(), 2000);
+}
+
+// Bounds beyond the INT64 range admit every key or none; NaN compares
+// equal to every key, so an inclusive NaN bound admits all and an
+// exclusive one none.
+TEST(RangeExtractionTest, OutOfRangeAndNanBoundsOnInt64Key) {
+  auto ranges = [](CompareOp op, double v) {
+    return ExtractRanges(ColCmp("year", op, Value(v)), "year",
+                         DataType::kInt64)
+        .ranges;
+  };
+  EXPECT_TRUE(ranges(CompareOp::kGe, 1e19).empty());
+  EXPECT_TRUE(ranges(CompareOp::kLe, -1e19).empty());
+  auto all_below = ranges(CompareOp::kLt, 1e19);
+  ASSERT_EQ(all_below.size(), 1u);
+  EXPECT_FALSE(all_below[0].lo.has_value());
+  EXPECT_FALSE(all_below[0].hi.has_value());
+  auto all_above = ranges(CompareOp::kGt, -INFINITY);
+  ASSERT_EQ(all_above.size(), 1u);
+  EXPECT_FALSE(all_above[0].lo.has_value());
+
+  auto nan_ge = ranges(CompareOp::kGe, NAN);
+  ASSERT_EQ(nan_ge.size(), 1u);
+  EXPECT_FALSE(nan_ge[0].lo.has_value());
+  EXPECT_TRUE(ranges(CompareOp::kGt, NAN).empty());
+}
+
+// An INT64 bound on a DOUBLE key becomes the equal DOUBLE; keys of other
+// types and ranges extracted without a key type are left alone.
+TEST(RangeExtractionTest, Int64BoundsCoerceToDoubleKey) {
+  auto ex = ExtractRanges(ColCmp("salary", CompareOp::kLt, Value(50000)),
+                          "salary", DataType::kDouble);
+  ASSERT_EQ(ex.ranges.size(), 1u);
+  ASSERT_EQ(ex.ranges[0].hi->type(), DataType::kDouble);
+  EXPECT_EQ(ex.ranges[0].hi->AsDouble(), 50000.0);
+  EXPECT_FALSE(ex.ranges[0].hi_inclusive);
+
+  auto untyped =
+      ExtractRanges(ColCmp("year", CompareOp::kGe, Value(1999.5)), "year");
+  ASSERT_EQ(untyped.ranges.size(), 1u);
+  EXPECT_EQ(untyped.ranges[0].lo->type(), DataType::kDouble);
 }
 
 }  // namespace

@@ -292,8 +292,7 @@ TEST_F(ParallelExecutorTest, DrivingSwitchesOccurUnderMergedStatistics) {
 
       ParallelExecOptions parallel;
       parallel.dop = 4;
-      parallel.morsel_size = 8;   // frequent barriers: switches can land
-      parallel.fold_interval = 1; // fold after every morsel
+      parallel.morsel_size = 8;  // frequent barriers: switches can land
       std::vector<Row> rows;
       ExecStats stats =
           RunParallel(plan->get(), Strict(), parallel, &rows);
@@ -428,7 +427,6 @@ TEST_F(ParallelExecutorTest, PerWorkerInvariantsAndCrossWorkerUniqueness) {
   ParallelExecOptions parallel;
   parallel.dop = kDop;
   parallel.morsel_size = 8;
-  parallel.fold_interval = 1;
   ParallelPipelineExecutor exec(plan->get(),
                                 testing::AggressiveAdaptiveOptions(),
                                 parallel);
@@ -450,6 +448,72 @@ TEST_F(ParallelExecutorTest, PerWorkerInvariantsAndCrossWorkerUniqueness) {
   EXPECT_EQ(all_keys.size(), emitted_total)
       << "two workers emitted the same RID tuple";
   EXPECT_EQ(stats->rows_out, all_keys.size());
+}
+
+// Behaviour gate for morsel-parallel adaptation on the paper's fig7 mix
+// (T1-T5), with auto-sized morsels and the default options (rank policy,
+// c = 10 with back-off). The fleet must actually adapt — nonzero driving
+// switches at dop 2 and dop 4 — and at dop 2 stay within 1.25x the serial
+// executor's work units. A decision cadence counted in scheduling units
+// (morsels) instead of produced driving rows starves the coordinator of
+// checks, which shows here as zero switches and the static plans' work.
+TEST(ParallelAdaptationGateTest, Fig7MixAdaptsAtDop2And4) {
+  Catalog catalog;
+  DmvConfig config;
+  config.num_owners = 20000;
+  ASSERT_TRUE(GenerateDmv(&catalog, config).ok());
+  Planner planner(&catalog, PlannerOptions{StatsTier::kMinimal});
+  DmvQueryGenerator gen(&catalog);
+  auto queries = gen.GenerateMix(4);
+  ASSERT_TRUE(queries.ok()) << queries.status();
+  std::vector<std::unique_ptr<PipelinePlan>> plans;
+  for (const JoinQuery& q : *queries) {
+    auto plan = planner.Plan(q);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    plans.push_back(std::move(*plan));
+  }
+
+  const AdaptiveOptions options;
+  ASSERT_EQ(options.policy, PolicyKind::kRank);
+  uint64_t serial_work = 0;
+  uint64_t serial_switches = 0;
+  std::vector<uint64_t> serial_rows;
+  for (const auto& plan : plans) {
+    PipelineExecutor exec(plan.get(), options);
+    auto stats = exec.Execute(nullptr);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    serial_work += stats->work_units;
+    serial_switches += stats->driving_switches;
+    serial_rows.push_back(stats->rows_out);
+  }
+  ASSERT_GT(serial_switches, 0u) << "the serial mix itself never switches";
+
+  for (size_t dop : {size_t{2}, size_t{4}}) {
+    uint64_t work = 0;
+    uint64_t switches = 0;
+    for (size_t i = 0; i < plans.size(); ++i) {
+      ParallelExecOptions parallel;
+      parallel.dop = dop;  // morsel_size 0: auto-sized
+      ParallelPipelineExecutor exec(plans[i].get(), options, parallel);
+      auto stats = exec.Execute(nullptr);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      EXPECT_EQ(stats->rows_out, serial_rows[i])
+          << (*queries)[i].name << " dop=" << dop;
+      work += stats->work_units;
+      switches += stats->driving_switches;
+    }
+    const double work_vs_serial =
+        static_cast<double>(work) / static_cast<double>(serial_work);
+    EXPECT_GT(switches, 0u)
+        << "dop=" << dop << " never switched a driving leg (serial: "
+        << serial_switches << " switches); work " << work_vs_serial
+        << "x serial";
+    if (dop == 2) {
+      EXPECT_LE(work_vs_serial, 1.25)
+          << "dop=2 did " << work << " work units against " << serial_work
+          << " serially";
+    }
+  }
 }
 
 }  // namespace
